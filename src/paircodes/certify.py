@@ -17,7 +17,6 @@ produce byte-identical files.
 import itertools
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,6 +24,7 @@ import numpy as np
 
 from paircodes.codes import (
     BudgetExceededError,
+    CertificationError,
     DistanceCertificate,
     _check_deadline,
     chen_consistent,
@@ -107,7 +107,8 @@ def exclude_pattern(code, pattern: SupportPattern) -> ExclusionReport:
         if np.all(v != 0):
             word = np.zeros(code.n, dtype=np.int32)
             word[list(positions)] = v
-            assert code.contains(word), "exclusion witness fell outside the code"
+            if not code.contains(word):
+                raise CertificationError("exclusion witness fell outside the code")
             return ExclusionReport(pattern, True, word, d)
     return ExclusionReport(pattern, False, None, d)
 
@@ -116,22 +117,14 @@ def sweep_exclusions(code, pw: int, workers: int = 1, deadline=None) -> list:
     """exclude_pattern over every shape of the given pair weight.
 
     No early exit: the full report list comes back even when a shape
-    admits a codeword, in deterministic (size, mask) order.
+    admits a codeword, in deterministic (size, mask) order.  workers is
+    accepted for compatibility and ignored.
     """
-    shapes = enumerate_shapes(code.n, pw).shapes
-    if workers <= 1 or len(shapes) < 64:
-        out = []
-        for pat in shapes:
-            _check_deadline(deadline)
-            out.append(exclude_pattern(code, pat))
-        return out
-
-    def job(pat):
+    out = []
+    for pat in enumerate_shapes(code.n, pw).shapes:
         _check_deadline(deadline)
-        return exclude_pattern(code, pat)
-
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(job, shapes))
+        out.append(exclude_pattern(code, pat))
+    return out
 
 
 @dataclass
@@ -176,7 +169,7 @@ def certify_family(
     distance -> exact d_P -> consistency and Singleton checks.  The
     sweep and the d_P search are independent proofs of the same lower
     bound; MDS_CONFIRMED requires both, plus agreement with every
-    registered claim.
+    registered claim.  workers is accepted for compatibility and ignored.
     """
     spec = get_spec(family_id)
     code = build_family(family_id, q)
@@ -192,24 +185,11 @@ def certify_family(
     try:
         # claims can overshoot the length itself (pair weight never
         # exceeds n), so every stage budget is capped at n
-        d_h_cert = min_hamming(
-            code,
-            min(claimed_dp - 1, code.n),
-            method="auto",
-            workers=workers,
-            deadline=deadline,
-        )
-        exclusions = sweep_exclusions(
-            code, min(claimed_dp - 1, code.n), workers=workers, deadline=deadline
-        )
+        cap = min(claimed_dp - 1, code.n)
+        d_h_cert = min_hamming(code, cap, method="auto", deadline=deadline)
+        exclusions = sweep_exclusions(code, cap, deadline=deadline)
         all_excluded = not any(r.admissible for r in exclusions)
-        d_p_cert = min_pair(
-            code,
-            min(claimed_dp, code.n),
-            method="auto",
-            workers=workers,
-            deadline=deadline,
-        )
+        d_p_cert = min_pair(code, min(claimed_dp, code.n), method="auto", deadline=deadline)
         if d_h_cert.value is None or d_p_cert.value is None:
             lemma3_ok = False
         else:

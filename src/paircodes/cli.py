@@ -97,9 +97,7 @@ def _certify_summary(cert) -> str:
 
 def cmd_certify(args) -> int:
     try:
-        cert = certify_family(
-            args.family, args.q, budget_seconds=args.budget, workers=args.workers
-        )
+        cert = certify_family(args.family, args.q, budget_seconds=args.budget)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INADMISSIBLE
@@ -151,11 +149,11 @@ def cmd_distance(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INADMISSIBLE
     w_max = code.n if args.w_max is None else min(args.w_max, code.n)
-    d_h = min_hamming(code, w_max, workers=args.workers)
+    d_h = min_hamming(code, w_max)
     d_p = None
     if args.pair:
         pw_max = code.n if args.pw_max is None else min(args.pw_max, code.n)
-        d_p = min_pair(code, max(pw_max, 2), workers=args.workers)
+        d_p = min_pair(code, max(pw_max, 2))
     bch = None if code.T is None else bch_bound(code.T)
     ht = None
     if code.T is not None and code.r == 1:
@@ -198,9 +196,7 @@ def cmd_table(args) -> int:
     for fam in fams:
         for q in qs:
             try:
-                cert = certify_family(
-                    fam, q, budget_seconds=args.budget, workers=args.workers
-                )
+                cert = certify_family(fam, q, budget_seconds=args.budget)
             except InadmissibleFamilyError:
                 continue
             rows.append(
@@ -237,6 +233,11 @@ def _add_output_flags(p) -> None:
     p.add_argument("--format", choices=("json", "text"), default="text")
 
 
+def _add_workers_flag(p) -> None:
+    p.add_argument("--workers", type=_positive(int), default=1,
+                   help="accepted for compatibility; ignored, scans run single-threaded")
+
+
 def _positive(kind):
     def parse(text):
         v = kind(text)
@@ -265,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--budget", type=_positive(float), default=600.0,
                    help="wall-clock cap in seconds")
-    p.add_argument("--workers", type=_positive(int), default=1)
+    _add_workers_flag(p)
     _add_output_flags(p)
     p.set_defaults(func=cmd_certify)
 
@@ -281,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair", action="store_true", help="also compute d_P")
     p.add_argument("--w-max", dest="w_max", type=_positive(int), default=None)
     p.add_argument("--pw-max", dest="pw_max", type=_positive(int), default=None)
-    p.add_argument("--workers", type=_positive(int), default=1)
+    _add_workers_flag(p)
     _add_output_flags(p)
     p.set_defaults(func=cmd_distance)
 
@@ -290,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma separated ids (default: all)")
     p.add_argument("--q", default=None, help="comma separated values")
     p.add_argument("--budget", type=_positive(float), default=600.0)
-    p.add_argument("--workers", type=_positive(int), default=1)
+    _add_workers_flag(p)
     _add_output_flags(p)
     p.set_defaults(func=cmd_table)
 

@@ -17,7 +17,6 @@ was scanned, so reruns can be compared byte for byte.
 import hashlib
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +29,17 @@ from paircodes.poly import Poly, QuotientRing, reciprocal
 
 FULL_ENUM_LIMIT = 1 << 22
 
+# supports ranked per kernel call; bounds the batch's memory and the
+# time between deadline checks
+SCAN_CHUNK = 512
+
 
 class BudgetExceededError(RuntimeError):
     """A search ran past its deadline."""
+
+
+class CertificationError(RuntimeError):
+    """A result failed one of the checks that make it a certificate."""
 
 
 def hamming_weight(vec) -> int:
@@ -188,7 +195,7 @@ class DistanceCertificate:
     value None means the search exhausted everything up to search_bound
     without a hit, certifying a strict lower bound.  witness is a full
     codeword as a list of field indices.  scanned_digest fingerprints
-    the exact scan order, independent of worker count.
+    the exact scan order.
     """
 
     kind: str
@@ -221,27 +228,16 @@ def _require_tables(ctx):
         raise ValueError(f"field of size {ctx.q} is too large for the table engines")
 
 
-def _admissible_flags(code, masks, workers, deadline):
-    """Admissibility of each mask, order-stable regardless of workers."""
+def _admissible_flags(code, masks, deadline):
+    """Admissibility of each mask, in chunks of SCAN_CHUNK with a deadline check before each."""
     big = code.smap.big
     _require_tables(big)
-    texp = np.array(code.T.exponents, dtype=np.int64)
-    pows = code.alpha_pows()
-    arr = np.asarray(masks, dtype=np.int64)
-    args = (code.n, texp, pows, big.add_table, big.neg_table, big.log, big.exp)
-    if workers <= 1 or arr.size < 2048:
+    texp = np.asarray(code.T.exponents)
+    args = (code.n, texp, code.alpha_pows(), big.add_table, big.neg_table, big.log, big.exp)
+    out = np.empty(len(masks), dtype=np.uint8)
+    for lo in range(0, len(masks), SCAN_CHUNK):
         _check_deadline(deadline)
-        return kernels.admissible_many(arr, *args)
-    chunk = max(1024, arr.size // (workers * 8))
-    parts = [arr[i : i + chunk] for i in range(0, arr.size, chunk)]
-    out = np.empty(arr.size, dtype=np.uint8)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(kernels.admissible_many, part, *args) for part in parts]
-        off = 0
-        for part, fut in zip(parts, futures):
-            _check_deadline(deadline)
-            out[off : off + part.size] = fut.result()
-            off += part.size
+        out[lo : lo + SCAN_CHUNK] = kernels.admissible_many(masks[lo : lo + SCAN_CHUNK], *args)
     return out
 
 
@@ -249,14 +245,16 @@ def _witness_word(code, mask):
     """Reconstruct a codeword living on the given support mask."""
     positions = [i for i in range(code.n) if mask >> i & 1]
     basis = rational_null_basis(code, positions)
-    assert basis.shape[0] >= 1, "admissible support lost its null space"
+    if basis.shape[0] < 1:
+        raise CertificationError("admissible support lost its null space")
     word = np.zeros(code.n, dtype=np.int32)
     word[positions] = basis[0]
-    assert code.contains(word), "descended null vector left the code"
+    if not code.contains(word):
+        raise CertificationError("descended null vector left the code")
     return word
 
 
-def _scan_support_levels(code, kind, levels, level_masks, workers, deadline):
+def _scan_support_levels(code, kind, levels, level_masks, deadline):
     """Shared core of the support_rank engines.
 
     Scans whole levels in order; at the first level containing an
@@ -270,12 +268,13 @@ def _scan_support_levels(code, kind, levels, level_masks, workers, deadline):
         masks = level_masks(level)
         for m in masks:
             digest.update(f"{m:x};".encode())
-        flags = _admissible_flags(code, masks, workers, deadline)
+        flags = _admissible_flags(code, masks, deadline)
         hit = np.flatnonzero(flags)
         if hit.size:
             word = _witness_word(code, masks[int(hit[0])])
             got = hamming_weight(word) if kind == "hamming" else pair_weight(word)
-            assert got == level, f"witness weight {got} != level {level}"
+            if got != level:
+                raise CertificationError(f"witness weight {got} != level {level}")
             return level, word, digest.hexdigest()
     return None, None, digest.hexdigest()
 
@@ -320,7 +319,8 @@ def min_hamming(code, w_max, method="auto", workers=1, deadline=None) -> Distanc
 
     support_rank scans supports of size 1..w_max; a returned value is
     exact.  full_enumeration ignores w_max and always reports the exact
-    minimum over the whole code.
+    minimum over the whole code.  workers is accepted for compatibility
+    and ignored: every scan runs in the calling thread.
     """
     if not 1 <= w_max <= code.n:
         raise ValueError(f"w_max must be in 1..{code.n}, got {w_max}")
@@ -335,7 +335,6 @@ def min_hamming(code, w_max, method="auto", workers=1, deadline=None) -> Distanc
             "hamming",
             range(1, w_max + 1),
             lambda s: canonical_supports_by_size(code.n, s),
-            workers,
             deadline,
         )
         witness = None if word is None else [int(v) for v in word]
@@ -352,7 +351,10 @@ def min_hamming(code, w_max, method="auto", workers=1, deadline=None) -> Distanc
 
 
 def min_pair(code, pw_max, method="auto", workers=1, deadline=None) -> DistanceCertificate:
-    """Exact minimum pair weight, certified up to pw_max."""
+    """Exact minimum pair weight, certified up to pw_max.
+
+    workers is accepted for compatibility and ignored, as in min_hamming.
+    """
     if not 2 <= pw_max <= code.n:
         raise ValueError(f"pw_max must be in 2..{code.n}, got {pw_max}")
     method = _pick_method(code, method)
@@ -366,7 +368,6 @@ def min_pair(code, pw_max, method="auto", workers=1, deadline=None) -> DistanceC
             "pair",
             range(2, pw_max + 1),
             lambda pw: canonical_supports_by_pw(code.n, pw),
-            workers,
             deadline,
         )
         witness = None if word is None else [int(v) for v in word]
@@ -447,7 +448,8 @@ def rational_null_basis(code, positions) -> np.ndarray:
             tr = [big.add(x, big.pow(x, q)) for x in w]
             cands.append([code.smap.to_subfield(x) for x in tr])
     rr, _ = rref(ctx, cands)
-    assert len(rr) == d, "Galois descent changed the solution dimension"
+    if len(rr) != d:
+        raise CertificationError("Galois descent changed the solution dimension")
     return np.array(rr, dtype=np.int32)
 
 

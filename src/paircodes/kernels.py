@@ -3,23 +3,14 @@
 Everything here speaks the table dialect: field elements are int32
 indices, multiplication goes through log/exp (exp is two periods long so
 summed logs never need a modulo), addition through the dense add table.
-The two kernels are written as plain functions and wrapped with numba on
-import; set PAIRCODES_NO_NUMBA=1 before import to force the pure paths.
+Rank is computed by one batched numpy elimination over a stack of
+matrices; the enumeration kernel is a plain Python loop.
 """
-
-import os
 
 import numpy as np
 
-if os.environ.get("PAIRCODES_NO_NUMBA"):
-    HAS_NUMBA = False
-else:
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:
-        HAS_NUMBA = False
+# kept for callers that report the environment; no code path depends on it
+HAS_NUMBA = False
 
 
 def step_delta(ctx):
@@ -36,118 +27,86 @@ def step_delta(ctx):
     return d
 
 
-def _canonical_many_impl(masks, n):
-    """Canonical (lex-min characteristic sequence) rotation for each mask.
+def gf_rank_many(mats, add, neg, log, exp):
+    """Rank of each matrix in a stack of shape (M, rows, cols).
 
-    masks is int64 and n must be at most 62 so rotations never overflow.
-    Candidate rotations start at gap starts; the comparison key is the
-    bit-reversed rotation, whose integer order is the lex order on
-    characteristic sequences.
+    The whole stack is eliminated at once, column by column: in each
+    column every matrix takes as pivot its first unused row that is
+    nonzero there (argmax over a boolean mask) and clears that column
+    from its other unused rows.  Rows are never swapped; a mask records
+    which rows have served as pivots.  Zeros have log -1, so every
+    product is masked where one factor is zero.  mats is not modified.
     """
-    cnt = masks.shape[0]
-    out = np.empty(cnt, dtype=np.int64)
-    full = (1 << n) - 1
-    for idx in range(cnt):
-        mask = masks[idx]
-        if mask == 0 or mask == full:
-            out[idx] = mask
-            continue
-        prev = ((mask >> (n - 1)) | (mask << 1)) & full
-        starts = prev & ~mask & full
-        best = -1
-        best_key = 0
-        for t in range(n):
-            if (starts >> t) & 1 == 0:
-                continue
-            if t == 0:
-                rot = mask
-            else:
-                rot = (mask >> t) | ((mask & ((1 << t) - 1)) << (n - t))
-            key = 0
-            v = rot
-            for _ in range(n):
-                key = (key << 1) | (v & 1)
-                v >>= 1
-            if best < 0 or key < best_key:
-                best = rot
-                best_key = key
-        out[idx] = best
-    return out
-
-
-def _gf_rank_impl(mat, add, neg, log, exp):
-    """Rank of mat over the field the tables describe.  Destroys mat."""
-    m, ncols = mat.shape
+    mats = np.array(mats, dtype=np.int32)
+    cnt, rows, cols = mats.shape
     order = exp.shape[0] // 2
-    rank = 0
-    for col in range(ncols):
-        if rank == m:
-            break
-        piv = -1
-        for r in range(rank, m):
-            if mat[r, col] != 0:
-                piv = r
-                break
-        if piv < 0:
+    at = np.arange(cnt)
+    free = np.ones((cnt, rows), dtype=bool)
+    rank = np.zeros(cnt, dtype=np.intp)
+    if rows == 0:
+        return rank
+    for col in range(cols):
+        colv = mats[:, :, col]
+        live = (colv != 0) & free
+        piv = live.argmax(axis=1)
+        has = live[at, piv]
+        rank += has
+        free[at[has], piv[has]] = False
+        live[at, piv] = False  # now: the rows to clear
+        if col + 1 == cols or not live.any():
             continue
-        if piv != rank:
-            for c in range(col, ncols):
-                tmp = mat[rank, c]
-                mat[rank, c] = mat[piv, c]
-                mat[piv, c] = tmp
-        il = order - log[mat[rank, col]]  # exponent of the pivot inverse
-        for c in range(col, ncols):
-            v = mat[rank, c]
-            if v != 0:
-                mat[rank, c] = exp[log[v] + il]
-        for r in range(rank + 1, m):
-            f = mat[r, col]
-            if f == 0:
-                continue
-            lf = log[f]
-            mat[r, col] = 0
-            for c in range(col + 1, ncols):
-                v = mat[rank, c]
-                if v != 0:
-                    mat[r, c] = add[mat[r, c], neg[exp[lf + log[v]]]]
-        rank += 1
+        rest = mats[:, :, col + 1 :]
+        prow = rest[at, piv]
+        # row r loses (a_r / a_piv) * pivot row; logs of the ratio mod order
+        lf = (log[colv] - log[colv[at, piv]][:, None]) % order
+        prod = exp[lf[:, :, None] + log[prow][:, None, :]]
+        prod = np.where((prow == 0)[:, None, :], 0, prod)
+        rest[...] = np.where(live[:, :, None], add[rest, neg[prod]], rest)
     return rank
 
 
-def _admissible_many_impl(masks, n, texp, alpha_pows, add, neg, log, exp):
+def gf_rank(mat, add, neg, log, exp):
+    """Rank of one matrix: gf_rank_many on a batch of one."""
+    mat = np.asarray(mat, dtype=np.int32)
+    return int(gf_rank_many(mat[None], add, neg, log, exp)[0])
+
+
+def _support_positions(masks, n):
+    """Set-bit positions of masks of one common size, one ascending row per mask."""
+    width = (n + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(len(masks), width), axis=1, bitorder="little")
+    return np.nonzero(bits)[1].reshape(len(masks), -1)
+
+
+def admissible_many(masks, n, texp, alpha_pows, add, neg, log, exp):
     """Flag masks whose root-power matrix is rank deficient.
 
     For support positions s (set bits of the mask) and defining exponents
     texp, the matrix M[r, c] = alpha^(texp[r] * pos[c]) has a nontrivial
     null vector exactly when a codeword lives on a subset of the support.
     alpha_pows[j] holds the field index of alpha^j and its length is the
-    root order, so exponents reduce mod len(alpha_pows).
+    root order, so exponents reduce mod len(alpha_pows).  Masks are
+    Python ints of any length; they are ranked in one batch per size.
     """
-    cnt = masks.shape[0]
-    rows = texp.shape[0]
+    masks = [int(m) for m in masks]
+    texp = np.asarray(texp)
     rn = alpha_pows.shape[0]
-    out = np.zeros(cnt, dtype=np.uint8)
-    pos = np.empty(n, dtype=np.int64)
-    mat = np.empty((rows, n), dtype=np.int32)
-    for idx in range(cnt):
-        mask = masks[idx]
-        s = 0
-        for i in range(n):
-            if (mask >> i) & 1:
-                pos[s] = i
-                s += 1
-        if rows < s:
+    out = np.zeros(len(masks), dtype=np.uint8)
+    by_size = {}
+    for i, m in enumerate(masks):
+        by_size.setdefault(m.bit_count(), []).append(i)
+    for s, idx in by_size.items():
+        if texp.shape[0] < s:
             out[idx] = 1  # fewer equations than unknowns
             continue
-        for r in range(rows):
-            for c in range(s):
-                mat[r, c] = alpha_pows[(texp[r] * pos[c]) % rn]
-        if gf_rank(mat[:, :s], add, neg, log, exp) < s:
-            out[idx] = 1
+        pos = _support_positions([masks[i] for i in idx], n)
+        mats = alpha_pows[(texp[None, :, None] * pos[:, None, :]) % rn]
+        out[idx] = gf_rank_many(mats, add, neg, log, exp) < s
     return out
 
 
-def _enum_min_weights_impl(rows, q, delta, add, neg, log, exp):
+def enum_min_weights(rows, q, delta, add, neg, log, exp):
     """Scan the full row space of rows (k x n) over GF(q).
 
     Walks message space as an odometer, updating the codeword
@@ -216,15 +175,3 @@ def _enum_min_weights_impl(rows, q, delta, add, neg, log, exp):
                             wit_p[t] = word[t]
                     break
     return best_h, best_p, wit_h, wit_p
-
-
-if HAS_NUMBA:
-    canonical_many = njit(cache=True, nogil=True)(_canonical_many_impl)
-    gf_rank = njit(cache=True, nogil=True)(_gf_rank_impl)
-    admissible_many = njit(cache=True, nogil=True)(_admissible_many_impl)
-    enum_min_weights = njit(cache=True, nogil=True)(_enum_min_weights_impl)
-else:
-    canonical_many = _canonical_many_impl
-    gf_rank = _gf_rank_impl
-    admissible_many = _admissible_many_impl
-    enum_min_weights = _enum_min_weights_impl

@@ -16,10 +16,6 @@ generators run over compositions only.
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
-from paircodes import kernels
-
 
 def _compositions(total, parts):
     """Ordered compositions of `total` into `parts` positive integers."""
@@ -97,11 +93,6 @@ def _masks_with_blocks(n, size, blocks):
 
 def _canonical_unique(raw, n):
     """Dedupe an iterable of masks into sorted canonical representatives."""
-    if kernels.HAS_NUMBA and n <= 62:
-        arr = np.fromiter(raw, dtype=np.int64)
-        if arr.size == 0:
-            return []
-        return np.unique(kernels.canonical_many(arr, n)).tolist()
     return sorted({canonical_rotation(m, n) for m in raw})
 
 

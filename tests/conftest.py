@@ -1,7 +1,7 @@
-"""Shared test setup: warm the jitted kernels once per session.
+"""Shared test setup: warm the engines once per session.
 
-Compilation (or disk-cache load) cost lands here instead of inside any
-timed certification, so wall-clock assertions measure steady state.
+First-call costs (field tables, imports) land here instead of inside
+any timed certification, so wall-clock assertions measure steady state.
 """
 
 import pytest

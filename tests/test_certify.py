@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import time
 
 import numpy as np
 import pytest
@@ -273,6 +274,16 @@ class TestCertifyFamily:
         assert payload["d_P"]["witness"] is not None
         timed = a.to_json_dict(include_timing=True)
         assert timed["d_H"]["elapsed_ms"] >= 0.0
+
+    def test_budget_overshoot_is_bounded(self):
+        # the level scans check the deadline every SCAN_CHUNK supports,
+        # so the run stops within one chunk or one level enumeration
+        budget, overshoot = 0.05, 0.2
+        t0 = time.perf_counter()
+        cert = certify_family("dp8", 11, budget_seconds=budget)
+        elapsed = time.perf_counter() - t0
+        assert cert.status == STATUS_BUDGET
+        assert elapsed < budget + overshoot
 
     def test_budget_certificate_serializes(self):
         cert = certify_family("dp9", 5, budget_seconds=-1.0)

@@ -6,6 +6,9 @@ codeword with itertools.  Engines must reproduce the oracle exactly.
 """
 
 import hashlib
+import subprocess
+import sys
+import textwrap
 import time
 from itertools import product
 
@@ -15,17 +18,20 @@ import pytest
 from paircodes import codes
 from paircodes.codes import (
     BudgetExceededError,
+    CertificationError,
     chen_consistent,
     hamming_weight,
     make_code,
     min_hamming,
     min_pair,
+    null_space,
     pair_weight,
     rational_null_basis,
     singleton_check,
 )
-from paircodes.cosets import closed_defining_set, generator_from_defining_set
+from paircodes.cosets import bch_bound, closed_defining_set, generator_from_defining_set
 from paircodes.field import make_field, make_tower, nth_root_of_unity
+from paircodes.patterns import canonical_supports_by_pw
 from paircodes.poly import Poly
 
 
@@ -345,3 +351,78 @@ class TestBoundsChecks:
         ctx = make_field(3, 1)
         whole = make_code(ctx, 8, 1, Poly.one(ctx))
         assert chen_consistent(whole, 1, 2)
+
+
+class TestLengthPast63Bits:
+    """Supports are Python ints, so a length-80 code scans like any other."""
+
+    @staticmethod
+    def gf9_n80_code():
+        ctx = make_field(3, 2)
+        smap = make_tower(3, 2)
+        root = nth_root_of_unity(smap.big, 80)
+        ds = closed_defining_set(80, 1, [0, 1, 2], 9)
+        return make_code(ctx, 80, 1, generator_from_defining_set(ds, root, smap), root=root), ds
+
+    def test_min_hamming_meets_bch(self):
+        code, ds = self.gf9_n80_code()
+        cert = min_hamming(code, 5, method="support_rank")
+        # the witness bounds d_H from above, the BCH bound from below
+        assert cert.value == bch_bound(ds) == 4
+        assert code.contains(np.array(cert.witness))
+        assert hamming_weight(cert.witness) == 4
+
+    def test_min_pair_against_per_support_null_spaces(self):
+        code, _ = self.gf9_n80_code()
+        cert = min_pair(code, 7, method="support_rank")
+        assert cert.value == 6
+        assert code.contains(np.array(cert.witness))
+        assert pair_weight(cert.witness) == 6
+        # no support of smaller pair weight carries a codeword
+        big, pows = code.smap.big, code.alpha_pows()
+        for pw in range(2, 6):
+            for mask in canonical_supports_by_pw(code.n, pw):
+                pos = [i for i in range(code.n) if mask >> i & 1]
+                mat = [[int(pows[(t * c) % len(pows)]) for c in pos] for t in code.T.exponents]
+                assert not null_space(big, mat, len(pos))
+
+
+class TestCertificationErrors:
+    def test_lost_null_space_raises(self, monkeypatch):
+        code = dp7_like_q5()
+        monkeypatch.setattr(
+            codes, "rational_null_basis", lambda code, positions: np.zeros((0, len(positions)))
+        )
+        with pytest.raises(CertificationError, match="lost its null space"):
+            min_hamming(code, 4, method="support_rank")
+
+    def test_corrupted_witness_raises_under_optimize(self):
+        # asserts vanish under -O; the witness check must not
+        script = textwrap.dedent(
+            """
+            from paircodes import codes
+            from paircodes.families import build_family
+
+            real = codes.rational_null_basis
+
+            def corrupted(code, positions):
+                basis = real(code, positions).copy()
+                basis[0, 0] = (basis[0, 0] + 1) % code.ctx.q
+                return basis
+
+            codes.rational_null_basis = corrupted
+            print("debug", __debug__)
+            try:
+                codes.min_hamming(build_family("dp9", 5), 8, method="support_rank")
+            except codes.CertificationError as e:
+                print("raised", e)
+            """
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == [
+            "debug False",
+            "raised descended null vector left the code",
+        ]

@@ -2,18 +2,16 @@
 
 The oracles here are deliberately naive: fraction-free elimination done
 with scalar field ops for rank, itertools.product over all messages for
-the enumeration.  The kernels must agree exactly, jitted or not.
+the enumeration.  The kernels must agree with them exactly.
 """
 
-import os
-import subprocess
-import sys
 from itertools import product
 
 import numpy as np
 import pytest
 
 from paircodes import kernels
+from paircodes.codes import null_space
 from paircodes.field import make_field
 
 
@@ -163,51 +161,92 @@ class TestStepDelta:
         assert all(int(d) != 0 for d in kernels.step_delta(ctx))
 
 
-class TestCanonicalMany:
-    def test_matches_scalar(self):
-        from paircodes.patterns import canonical_rotation
+class TestBatchedRank:
+    """gf_rank_many against the scalar oracle on stacks built to be awkward."""
 
-        rng = np.random.default_rng(29)
-        for n in (5, 12, 24, 56, 62):
-            masks = rng.integers(0, 1 << min(n, 62), size=400).astype(np.int64)
-            masks &= (1 << n) - 1
-            got = kernels.canonical_many(masks, n)
-            want = [canonical_rotation(int(m), n) for m in masks]
-            assert got.tolist() == want
+    @staticmethod
+    def random_stack(rng, q, cnt, rows, cols):
+        mats = rng.integers(0, q, size=(cnt, rows, cols)).astype(np.int32)
+        for mat in mats:
+            roll = rng.random()
+            if roll < 0.25:
+                mat[:, rng.integers(cols)] = 0
+            elif roll < 0.5 and cols > 1:
+                a, b = rng.choice(cols, size=2, replace=False)
+                mat[:, b] = mat[:, a]
+            elif roll < 0.75:
+                mat[rng.random(mat.shape) < 0.6] = 0
+        return mats
 
-    def test_edges(self):
-        masks = np.array([0, (1 << 8) - 1, 1], dtype=np.int64)
-        out = kernels.canonical_many(masks, 8)
-        assert out.tolist() == [0, 255, 1 << 7]
+    @pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (7, 2)])
+    def test_matches_oracle_random_batches(self, p, m):
+        ctx = make_field(p, m)
+        tables = field_tables(ctx)
+        rng = np.random.default_rng(31 + p)
+        for _ in range(40):
+            rows = int(rng.integers(1, 7))
+            cols = int(rng.integers(1, 9))  # cols > rows covers |T| < s
+            cnt = int(rng.integers(0, 12))
+            mats = self.random_stack(rng, ctx.q, cnt, rows, cols)
+            before = mats.copy()
+            got = kernels.gf_rank_many(mats, *tables)
+            assert got.tolist() == [rank_oracle(ctx, mat.tolist()) for mat in mats]
+            assert np.array_equal(mats, before)
 
-
-class TestJitParity:
-    def test_wrapped_equals_impl(self):
+    def test_scaled_repeated_column_is_deficient(self):
         ctx = make_field(5, 2)
-        add, neg, log, exp = field_tables(ctx)
-        rng = np.random.default_rng(23)
-        mat = rng.integers(0, 25, size=(4, 6)).astype(np.int32)
-        assert kernels.gf_rank(mat.copy(), add, neg, log, exp) == kernels._gf_rank_impl(
-            mat.copy(), add, neg, log, exp
-        )
-        small = make_field(5, 1)
-        sadd, sneg, slog, sexp = field_tables(small)
-        rows = rng.integers(0, 5, size=(2, 6)).astype(np.int32)
-        a = kernels.enum_min_weights(rows, 5, kernels.step_delta(small), sadd, sneg, slog, sexp)
-        b = kernels._enum_min_weights_impl(
-            rows, 5, kernels.step_delta(small), sadd, sneg, slog, sexp
-        )
-        assert a[0] == b[0] and a[1] == b[1]
-        assert a[2].tolist() == b[2].tolist() and a[3].tolist() == b[3].tolist()
+        rng = np.random.default_rng(37)
+        mats = rng.integers(1, 25, size=(20, 5, 3)).astype(np.int32)
+        mats[:, :, 2] = ctx.vmul(np.full_like(mats[:, :, 0], 7), mats[:, :, 0])
+        ranks = kernels.gf_rank_many(mats, *field_tables(ctx))
+        assert ranks.tolist() == [rank_oracle(ctx, mat.tolist()) for mat in mats]
+        assert ranks.max() <= 2
 
-    def test_env_flag_disables_numba(self):
-        code = (
-            "import paircodes.kernels as k;"
-            "print(k.HAS_NUMBA, k.gf_rank is k._gf_rank_impl)"
-        )
-        env = dict(os.environ, PAIRCODES_NO_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.split() == ["False", "True"]
+    def test_empty_batch(self):
+        ctx = make_field(3, 2)
+        got = kernels.gf_rank_many(np.zeros((0, 4, 3), dtype=np.int32), *field_tables(ctx))
+        assert got.shape == (0,)
+
+    def test_batch_of_one_is_gf_rank(self):
+        ctx = make_field(7, 2)
+        tables = field_tables(ctx)
+        mat = np.random.default_rng(41).integers(0, 49, size=(4, 6)).astype(np.int32)
+        got = kernels.gf_rank_many(mat[None], *tables)
+        assert got.tolist() == [kernels.gf_rank(mat, *tables)] == [rank_oracle(ctx, mat.tolist())]
+
+
+class TestAdmissibleMany:
+    """admissible_many against a per-mask null space at a length past 63 bits."""
+
+    N = 70
+
+    def gf49_setting(self):
+        big = make_field(7, 2)
+        # a primitive element of GF(49): order 48, so positions wrap mod 48
+        pows = big.exp[: big.q - 1].copy()
+        texp = np.array([1, 2, 3, 7, 14], dtype=np.int64)
+        return big, pows, texp
+
+    def oracle(self, big, pows, texp, mask):
+        pos = [i for i in range(self.N) if mask >> i & 1]
+        mat = [[int(pows[(int(t) * c) % len(pows)]) for c in pos] for t in texp]
+        return int(len(null_space(big, mat, len(pos))) > 0)
+
+    def test_matches_null_space_oracle(self):
+        big, pows, texp = self.gf49_setting()
+        rng = np.random.default_rng(43)
+        masks = []
+        for _ in range(300):
+            size = int(rng.integers(1, 8))
+            masks.append(sum(1 << int(i) for i in rng.choice(self.N, size=size, replace=False)))
+        masks.append(1 << (self.N - 1) | 1 << 64 | 1 << 63 | 1)
+        got = kernels.admissible_many(masks, self.N, texp, pows, *field_tables(big))
+        assert got.dtype == np.uint8
+        want = [self.oracle(big, pows, texp, m) for m in masks]
+        assert got.tolist() == want
+        assert 0 < sum(want) < len(want)
+
+    def test_empty(self):
+        big, pows, texp = self.gf49_setting()
+        got = kernels.admissible_many([], self.N, texp, pows, *field_tables(big))
+        assert got.shape == (0,)
