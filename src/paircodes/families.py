@@ -17,7 +17,13 @@ from typing import Callable
 
 import numpy as np
 
-from paircodes.codes import hamming_weight, make_code, min_hamming, min_pair
+from paircodes.codes import (
+    CertificationError,
+    hamming_weight,
+    make_code,
+    min_hamming,
+    min_pair,
+)
 from paircodes.cosets import (
     closed_defining_set,
     coset,
@@ -141,10 +147,13 @@ def build_family(family_id: str, q: int, root=None):
         if c not in seen:
             seen.add(c)
             parts = parts * minimal_polynomial(smap, root, rep, n)
-    assert parts == g, "minimal polynomial product disagrees with the root product"
+    if parts != g:
+        raise CertificationError("minimal polynomial product disagrees with the root product")
     code = make_code(ctx, n, 1, g, root=root)
-    assert code.k == spec.dimension(q), f"dimension {code.k} != {spec.dimension(q)}"
-    assert code.T == ds
+    if code.k != spec.dimension(q):
+        raise CertificationError(f"dimension {code.k} != {spec.dimension(q)}")
+    if code.T != ds:
+        raise CertificationError("the code's defining set differs from the closed one")
     return code
 
 
@@ -183,8 +192,10 @@ def witness_low_weight(family_id: str, code) -> np.ndarray:
         raise ValueError(f"no closed-form low-weight word is known for {family_id}")
     out = np.zeros(n, dtype=np.int32)
     out[: len(w.coeffs)] = w.coeffs
-    assert code.contains(out), "witness fell outside the code"
-    assert hamming_weight(out) == spec.claimed_hamming(q), "witness has the wrong weight"
+    if not code.contains(out):
+        raise CertificationError("witness fell outside the code")
+    if hamming_weight(out) != spec.claimed_hamming(q):
+        raise CertificationError("witness has the wrong weight")
     return out
 
 

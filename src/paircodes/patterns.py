@@ -7,29 +7,20 @@ is the rotation whose characteristic sequence s_0..s_{n-1} is
 lexicographically smallest (zeros first, so canonical masks pack their
 support toward the high positions).
 
-Enumeration never walks all 2^n subsets.  A support with b cyclic blocks
-of total size s is a pair of compositions (block lengths, gap lengths),
-and the pair weight is s + b, so both the by-size and the by-pair-weight
-generators run over compositions only.
+Supports are handled through their gap sequence (g_1..g_s): g_i zeros
+stand before the i-th set bit, the trailing zeros wrapping into g_1.  A
+canonical characteristic sequence reads 0^g_1 1 0^g_2 1 .. 0^g_s 1, and
+it is the rotation whose gap sequence is lexicographically largest.  So
+the canonical supports of a level are exactly the necklaces (in
+decreasing order) of length s over gap values summing to n - s; they are
+generated directly by the Fredricksen-Kessler-Maiorana recursion with
+fixed-density pruning (Ruskey & Sawada, SIAM J. Comput. 29(2), 1999),
+each rotation class once.  A proper support with b nonzero gaps has b
+cyclic blocks and pair weight s + b, so a pair-weight level is a union
+of (size, block count) levels.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
-
-
-def _compositions(total, parts):
-    """Ordered compositions of `total` into `parts` positive integers."""
-    if parts == 1:
-        yield (total,)
-        return
-    for cuts in combinations(range(1, total), parts - 1):
-        prev = 0
-        out = []
-        for c in cuts:
-            out.append(c - prev)
-            prev = c
-        out.append(total - prev)
-        yield tuple(out)
 
 
 def pw_of_mask(mask, n):
@@ -38,94 +29,92 @@ def pw_of_mask(mask, n):
     return bin(mask | wrapped).count("1")
 
 
-def _lex_key(mask, n):
-    # s_0 is the most significant digit of the comparison key
-    return format(mask, f"0{n}b")[::-1]
-
-
-def _rotate_left(mask, t, n):
-    full = (1 << n) - 1
-    t %= n
-    if t == 0:
-        return mask
-    return ((mask >> t) | (mask << (n - t))) & full
+def _mask_from_gaps(gaps):
+    """The mask whose characteristic sequence is 0^g_1 1 0^g_2 1 .. 0^g_s 1."""
+    mask = 0
+    pos = -1
+    for g in gaps:
+        pos += g + 1
+        mask |= 1 << pos
+    return mask
 
 
 def canonical_rotation(mask, n):
     """Rotation of mask with lexicographically smallest characteristic sequence.
 
-    The winning rotation must start at the beginning of a gap, so only
-    gap starts are compared (one candidate per block, not n).  The
-    comparison runs on the characteristic string, formatted once.
+    That rotation is the one whose gap sequence is lexicographically
+    largest among the rotations of the gap sequence of mask.
     """
     full = (1 << n) - 1
     mask &= full
     if mask == 0 or mask == full:
         return mask
-    seq = format(mask, f"0{n}b")[::-1]  # s_0 .. s_{n-1}
-    # gap starts: positions i with bit i clear and bit i-1 (cyclically) set
-    prev = _rotate_left(mask, n - 1, n)
-    starts = prev & ~mask & full
-    best = None
-    i = starts
-    while i:
-        low = i & -i
-        t = low.bit_length() - 1
-        cand = seq[t:] + seq[:t]
-        if best is None or cand < best:
-            best = cand
-        i ^= low
-    return int(best[::-1], 2)
+    positions = []
+    while mask:
+        low = mask & -mask
+        positions.append(low.bit_length() - 1)
+        mask ^= low
+    gaps = [positions[0] + n - 1 - positions[-1]]
+    gaps += [b - a - 1 for a, b in zip(positions, positions[1:])]
+    return _mask_from_gaps(max(gaps[i:] + gaps[:i] for i in range(len(gaps))))
 
 
-def _masks_with_blocks(n, size, blocks):
-    """All masks with `blocks` cyclic blocks totalling `size`, first block at 0."""
-    gaps_total = n - size
-    for lens in _compositions(size, blocks):
-        for gaps in _compositions(gaps_total, blocks):
-            mask = 0
-            pos = 0
-            for ln, gp in zip(lens, gaps):
-                mask |= ((1 << ln) - 1) << pos
-                pos += ln + gp
-            yield mask
+def _gap_necklaces(n, size, blocks=None):
+    """Sorted canonical masks of |S| = size, with `blocks` cyclic blocks if given.
 
+    Gap values are tried in decreasing order, each bounded by a[t-p] as
+    in the FKM recursion; the gaps must sum to n - size, and no later
+    gap can exceed a[1], which prunes prefixes that cannot be completed.
+    With `blocks` set, exactly that many gaps are nonzero.
+    """
+    a = [n - size] + [0] * size
+    out = []
 
-def _canonical_unique(raw, n):
-    """Dedupe an iterable of masks into sorted canonical representatives."""
-    return sorted({canonical_rotation(m, n) for m in raw})
+    def extend(t, p, left, nonzero):
+        if t > size:
+            if size % p == 0:
+                out.append(_mask_from_gaps(a[1:]))
+            return
+        remaining = size - t
+        v = min(a[t - p], left)
+        if blocks is not None:  # each later nonzero gap needs a unit
+            v = min(v, left + nonzero + 1 - blocks)
+        while v >= 0:
+            # later gaps that may be nonzero (that must be, counting blocks)
+            later = remaining if blocks is None else blocks - nonzero - (v > 0)
+            if later <= remaining and left - v <= later * (a[1] if t > 1 else v):
+                a[t] = v
+                extend(t + 1, p if v == a[t - p] else t, left - v, nonzero + (v > 0))
+                v -= 1
+            elif v > 0 and blocks is not None:
+                v = 0  # no smaller positive gap fits either; zero still may
+            else:
+                break
+
+    extend(1, 1, n - size, 0)
+    return sorted(out)
 
 
 def canonical_supports_by_size(n, size):
     """Sorted canonical representatives of all supports with |S| = size."""
     if not 1 <= size <= n:
         raise ValueError(f"size must be in 1..{n}, got {size}")
-    if size == n:
-        return [(1 << n) - 1]
-    raw = (
-        mask
-        for blocks in range(1, min(size, n - size) + 1)
-        for mask in _masks_with_blocks(n, size, blocks)
-    )
-    return _canonical_unique(raw, n)
+    return _gap_necklaces(n, size)
 
 
 def canonical_supports_by_pw(n, pw):
     """Sorted canonical representatives of supports with pair weight pw.
 
     Ordered by (size, mask) so a search that wants the smallest support
-    first can iterate the list directly.  Rotation classes with distinct
-    block counts have distinct sizes, so each block count is deduped on
-    its own and the groups concatenated in ascending-size order.
+    first can iterate the list directly.  A proper support with b blocks
+    has size pw - b, so the block counts run downward and each group
+    comes out sorted on its own.
     """
     if not 2 <= pw <= n:
         raise ValueError(f"pair weight must be in 2..{n}, got {pw}")
     out = []
     for blocks in range(pw // 2, 0, -1):
-        size = pw - blocks
-        if size > n - blocks:  # gaps need one position per block
-            continue
-        out.extend(_canonical_unique(_masks_with_blocks(n, size, blocks), n))
+        out.extend(_gap_necklaces(n, pw - blocks, blocks))
     if pw == n:
         out.append((1 << n) - 1)
     return out

@@ -4,7 +4,20 @@ First-call costs (field tables, imports) land here instead of inside
 any timed certification, so wall-clock assertions measure steady state.
 """
 
+import os
+from pathlib import Path
+
 import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture
+def src_env():
+    """Environment for a child interpreter that imports paircodes from src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture(scope="session", autouse=True)

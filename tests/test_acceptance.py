@@ -5,6 +5,7 @@ criteria then assert on the shared results so each wall-clock cap
 covers exactly one pipeline run.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -224,7 +225,36 @@ class TestCriterion9MetricProperties:
                 assert differing == pair_distance(code.ctx, x, y)
 
 
+# sha256 of each member's canonical certificate JSON.  The twelve
+# acceptance-matrix members are the hashes recorded in certbench/pool.json;
+# dp7 q=17 and dp8 q=19 were computed with the composition-based support
+# enumeration that the gap-sequence generator replaced.  A change in scan
+# order, scan digest or schema shows up here.
+CERT_SHA256 = {
+    ("dp7", 5): "73f231fe3894577fcae8b99c5098eb340def9e26d42539eda3f09e7e479b7309",
+    ("dp7", 9): "b2ee6ef88f04f58606d7b971be0dfb4c2d731c2e336f04bfd689c13367cf3554",
+    ("dp7", 13): "77f6c924664db4e32085347a0ccabe2d4c32f1642768042a7ce95684939ebd37",
+    ("dp7", 17): "2f4d7b6adb089d306eee234cb99cd632ae3beaf395baa84f7b3346bd2b668390",
+    ("dp8", 3): "3682aed70c6db391ed3dee2479ca8b032cbcffc8a71a9226746cc2e0edfc3fa8",
+    ("dp8", 7): "316bc5552c5d34723af690dfa7722e803e0f6c3243600f28a8d5c96a193574c7",
+    ("dp8", 11): "c0db4cdb979a39ecdee90910ba291f56e50866029f466db60ed5f45c09e13874",
+    ("dp8", 19): "fae4f785dc8437708a044cc93a2e2de66d937f4032dacd805dc5a768ac3f0854",
+    ("dp9", 3): "4de0fef4b7b953afe4f52a8fb8c2d38160c8306fb5e073e698d24e876517e864",
+    ("dp9", 5): "a973afc41ed409b333e277551d98ea448549a052d1ac6fcf4bd050c3ad5d4d0f",
+    ("dp9", 7): "6403ee090c950557361268157020b6e1bb0140bdfcf92e9866d49a0bf790b967",
+    ("dp9", 9): "c78e917ac934005386d3193770e3424b2ce0656641f24863acb97106164c3793",
+    ("kai_dp7", 7): "bf4423e585672eb6bf9978c6a68624c7fccf8dccf9c1e8989c1641f3a1afc5a6",
+    ("kai_dp7", 11): "e2e60ebf03cbe28221252db405de2ac3002aa8b1d051a525c4aedfaaeca2dc38",
+}
+
+
 class TestCriterion10Determinism:
+    @pytest.mark.parametrize("fam,q", DP_INSTANCES + KAI_INSTANCES)
+    def test_certificate_bytes_pinned(self, certified, fam, q):
+        cert, _ = certified[(fam, q)]
+        text = canonical_json(cert.to_json_dict())
+        assert hashlib.sha256(text.encode()).hexdigest() == CERT_SHA256[(fam, q)]
+
     @pytest.mark.parametrize("fam,q", [("dp7", 5), ("dp8", 3), ("dp9", 3), ("dp9", 5)])
     def test_repeated_runs_byte_identical(self, certified, fam, q, tmp_path):
         argv = lambda path: [
@@ -239,7 +269,7 @@ class TestCriterion10Determinism:
         cert, _ = certified[(fam, q)]
         assert blob.decode() == canonical_json(cert.to_json_dict())
 
-    def test_fresh_interpreter_writes_the_same_bytes(self, tmp_path):
+    def test_fresh_interpreter_writes_the_same_bytes(self, tmp_path, src_env):
         # a new process has its own hash seed, so any set or dict order
         # leaking into the scan or the JSON would show up here
         target = tmp_path / "fresh.json"
@@ -249,7 +279,7 @@ class TestCriterion10Determinism:
                 "--family", "dp8", "--q", "3",
                 "--format", "json", "--out", str(target),
             ],
-            capture_output=True, text=True, timeout=300,
+            capture_output=True, text=True, timeout=300, env=src_env,
         )
         assert proc.returncode == 0, proc.stderr
         cert = certify_family("dp8", 3)

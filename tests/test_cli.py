@@ -194,11 +194,11 @@ class TestTable:
         assert "MDS_CONFIRMED" in out
 
 
-def test_module_entry_point():
+def test_module_entry_point(src_env):
     proc = subprocess.run(
         [sys.executable, "-m", "paircodes", "construct",
          "--family", "dp9", "--q", "5", "--format", "json"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=src_env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["k"] == 5

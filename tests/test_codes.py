@@ -396,7 +396,7 @@ class TestCertificationErrors:
         with pytest.raises(CertificationError, match="lost its null space"):
             min_hamming(code, 4, method="support_rank")
 
-    def test_corrupted_witness_raises_under_optimize(self):
+    def test_corrupted_witness_raises_under_optimize(self, src_env):
         # asserts vanish under -O; the witness check must not
         script = textwrap.dedent(
             """
@@ -419,7 +419,8 @@ class TestCertificationErrors:
             """
         )
         out = subprocess.run(
-            [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=120
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, timeout=120, env=src_env,
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines() == [

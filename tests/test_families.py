@@ -4,10 +4,15 @@ Frozen parameters checked here (n, k, defining exponents) all follow
 from the coset closures of the registered exponent representatives.
 """
 
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
-from paircodes.codes import hamming_weight, min_hamming, min_pair
+from paircodes import families
+from paircodes.codes import CertificationError, hamming_weight, min_hamming, min_pair
 from paircodes.families import (
     InadmissibleFamilyError,
     build_family,
@@ -134,6 +139,39 @@ class TestWitnesses:
             witness_low_weight("dp9", build_family("dp9", 3))
         with pytest.raises(ValueError):
             witness_low_weight("kai_dp7", build_family("kai_dp7", 7))
+
+
+class TestCertificationErrors:
+    def test_wrong_witness_weight_raises(self, monkeypatch):
+        code = build_family("dp7", 5)
+        monkeypatch.setattr(families, "hamming_weight", lambda vec: 0)
+        with pytest.raises(CertificationError, match="wrong weight"):
+            witness_low_weight("dp7", code)
+
+    def test_generator_disagreement_raises_under_optimize(self, src_env):
+        # asserts vanish under -O; the agreement check must not
+        script = textwrap.dedent(
+            """
+            from paircodes import codes, families
+
+            real = families.minimal_polynomial
+            families.minimal_polynomial = lambda *args: real(*args) * real(*args)
+            print("debug", __debug__)
+            try:
+                families.build_family("dp9", 5)
+            except codes.CertificationError as e:
+                print("raised", e)
+            """
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, timeout=120, env=src_env,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == [
+            "debug False",
+            "raised minimal polynomial product disagrees with the root product",
+        ]
 
 
 class TestSubcode:

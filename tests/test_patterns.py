@@ -1,8 +1,12 @@
 """Support-pattern canonicalization and enumeration tests.
 
 The brute-force oracles here enumerate raw subsets and rotations
-directly, independent of the composition-based generators under test.
+directly, independent of the gap-sequence necklace generator under
+test.  Past brute-force range, level sizes are checked against the
+closed-form count of binary necklaces of fixed density.
 """
+
+from math import comb, gcd
 
 import numpy as np
 import pytest
@@ -134,6 +138,46 @@ class TestEnumerationByPw:
             canonical_supports_by_pw(8, 1)
         with pytest.raises(ValueError):
             canonical_supports_by_pw(8, 9)
+
+
+def phi(m):
+    return sum(1 for j in range(1, m + 1) if gcd(j, m) == 1)
+
+
+def necklace_count(n, d):
+    """Binary necklaces of length n with d ones: (1/n) sum_{j | gcd(n,d)} phi(j) C(n/j, d/j)."""
+    g = gcd(n, d)
+    total = sum(phi(j) * comb(n // j, d // j) for j in range(1, g + 1) if g % j == 0)
+    assert total % n == 0
+    return total // n
+
+
+class TestEnumerationPastBruteForce:
+    @pytest.mark.parametrize(
+        "n,d",
+        [(20, 1), (20, 3), (20, 6), (24, 2), (24, 4), (24, 6),
+         (40, 2), (40, 4), (56, 3), (56, 4), (72, 3), (72, 4)],
+    )
+    def test_by_size_matches_necklace_count(self, n, d):
+        out = canonical_supports_by_size(n, d)
+        assert len(out) == necklace_count(n, d)
+        assert all(a < b for a, b in zip(out, out[1:]))
+        assert all(bin(m).count("1") == d for m in out)
+        assert all(canonical_rotation(m, n) == m for m in out)
+
+    @pytest.mark.parametrize("n,max_size", [(24, 5), (40, 4)])
+    def test_by_pw_levels_partition_each_size(self, n, max_size):
+        # a proper support of size s has pair weight s + b with 1 <= b <= s,
+        # so the pair-weight levels 2..2s hold every class of size s
+        for size in range(1, max_size + 1):
+            collected = [
+                m
+                for pw in range(2, 2 * size + 1)
+                for m in canonical_supports_by_pw(n, pw)
+                if bin(m).count("1") == size
+            ]
+            assert len(collected) == len(set(collected))
+            assert set(collected) == set(canonical_supports_by_size(n, size))
 
 
 class TestSupportPattern:
