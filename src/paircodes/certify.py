@@ -4,7 +4,9 @@ A certificate pins both distances of one family instance with nothing
 left to trust: the distance engines deliver exact values with explicit
 witnesses, an exhaustive pattern-exclusion sweep one pair weight below
 the claim independently re-proves the lower bound shape by shape, and
-the Singleton-type defect ties dimension to pair distance.  The three
+the Singleton-type defect ties dimension to pair distance.  The engines
+rank root-power columns over GF(q^2), the sweep check-matrix columns
+over GF(q): one kernel, two matrices and fields.  The three
 verdicts a pipeline can reach are MDS_CONFIRMED, DISCREPANCY (some
 computed value disagrees with the registered claim), and
 BUDGET_EXCEEDED (the wall clock ran out first).
@@ -22,12 +24,13 @@ from typing import Optional
 
 import numpy as np
 
+from paircodes import kernels
 from paircodes.codes import (
     BudgetExceededError,
     CertificationError,
     DistanceCertificate,
-    _check_deadline,
     chen_consistent,
+    dependent_flags,
     min_hamming,
     min_pair,
     rational_null_basis,
@@ -39,13 +42,6 @@ from paircodes.patterns import SupportPattern, canonical_supports_by_pw
 STATUS_CONFIRMED = "MDS_CONFIRMED"
 STATUS_DISCREPANCY = "DISCREPANCY"
 STATUS_BUDGET = "BUDGET_EXCEEDED"
-
-# direct null-space enumeration stays exact and cheap in this regime;
-# anything wider would want inclusion-exclusion over the coordinate
-# hyperplanes instead
-_MAX_NULLITY = 3
-_MAX_Q = 49
-
 
 @dataclass(frozen=True)
 class ShapeClass:
@@ -61,7 +57,7 @@ class ExclusionReport:
 
     admissible means some codeword is nonzero at every position of the
     pattern; detail is the dimension of the space of codewords
-    supported inside the pattern.
+    supported inside the pattern, the nullity of its check columns.
     """
 
     pattern: SupportPattern
@@ -78,53 +74,55 @@ def enumerate_shapes(n: int, pw: int) -> ShapeClass:
 
 
 def exclude_pattern(code, pattern: SupportPattern) -> ExclusionReport:
-    """Search the pattern for a codeword avoiding zero on all of it.
+    """Decide whether some codeword has support exactly the pattern S.
 
-    The codewords supported inside the pattern form a small linear
-    space; it is enumerated outright, coefficient tuples in
-    lexicographic order, and the first combination that is nonzero at
-    every pattern position becomes the witness.
+    With H the check matrix, Moebius inversion over the subsets U of S
+    counts such codewords as sum_U (-1)^(|S|-|U|) q^(|U| - rank H[:, U]),
+    all 2^|S| ranks in one kernel batch.  Only a positive count builds a
+    witness: coefficient tuples over a root-power null basis of the same
+    dimension, in lexicographic order, until one is nonzero on all of S.
     """
     if pattern.n != code.n:
         raise ValueError("pattern length differs from code length")
-    positions = pattern.positions
-    basis = rational_null_basis(code, positions)
-    d = len(basis)
-    if d == 0:
-        return ExclusionReport(pattern, False, None, 0)
+    positions = list(pattern.positions)
+    s = len(positions)
     ctx = code.ctx
-    if d > _MAX_NULLITY or ctx.q > _MAX_Q:
-        raise NotImplementedError(
-            f"null space of dimension {d} over GF({ctx.q}) is past the direct"
-            " enumeration regime"
-        )
+    keep = ((np.arange(1 << s)[:, None] >> np.arange(s)) & 1).astype(bool)  # one row per U
+    mats = np.where(keep[:, None, :], code.check_matrix()[:, positions], 0)
+    ranks = kernels.gf_rank_many(mats, ctx.add_table, ctx.neg_table, ctx.log, ctx.exp).tolist()
+    count = sum((-1) ** (s - u) * ctx.q ** (u - r) for u, r in zip(keep.sum(1).tolist(), ranks))
+    d = s - ranks[-1]
+    if count == 0:
+        return ExclusionReport(pattern, False, None, d)
+    basis = rational_null_basis(code, positions)
+    if len(basis) != d:
+        raise CertificationError(f"root-power nullity {len(basis)} != check-matrix nullity {d}")
     for coeffs in itertools.product(range(ctx.q), repeat=d):
-        if not any(coeffs):
-            continue
-        v = np.zeros(len(positions), dtype=np.int32)
+        v = np.zeros(s, dtype=np.int32)
         for c, row in zip(coeffs, basis):
             v = ctx.vadd(v, ctx.vmul(np.full_like(row, c), row))
         if np.all(v != 0):
             word = np.zeros(code.n, dtype=np.int32)
-            word[list(positions)] = v
+            word[positions] = v
             if not code.contains(word):
                 raise CertificationError("exclusion witness fell outside the code")
             return ExclusionReport(pattern, True, word, d)
-    return ExclusionReport(pattern, False, None, d)
+    raise CertificationError(f"count {count} > 0, yet no basis combination is nonzero on all of S")
 
 
-def sweep_exclusions(code, pw: int, workers: int = 1, deadline=None) -> list:
-    """exclude_pattern over every shape of the given pair weight.
+def sweep_exclusions(code, pw: int, deadline=None) -> list:
+    """Exclusion report for every shape of the given pair weight.
 
-    No early exit: the full report list comes back even when a shape
-    admits a codeword, in deterministic (size, mask) order.  workers is
-    accepted for compatibility and ignored.
+    Shapes are ranked against the check matrix in batches; only the
+    rank-deficient ones go to exclude_pattern.  No early exit: every
+    report comes back, in deterministic (size, mask) order.
     """
-    out = []
-    for pat in enumerate_shapes(code.n, pw).shapes:
-        _check_deadline(deadline)
-        out.append(exclude_pattern(code, pat))
-    return out
+    shapes = enumerate_shapes(code.n, pw).shapes
+    flags = dependent_flags(code.check_matrix(), code.ctx, [p.mask for p in shapes], deadline)
+    return [
+        exclude_pattern(code, p) if f else ExclusionReport(p, False, None, 0)
+        for p, f in zip(shapes, flags)
+    ]
 
 
 @dataclass

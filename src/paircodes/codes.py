@@ -23,6 +23,7 @@ import numpy as np
 
 from paircodes import kernels
 from paircodes.cosets import defining_set_from_generator
+from paircodes.errors import CertificationError
 from paircodes.field import make_tower, nth_root_of_unity
 from paircodes.patterns import canonical_supports_by_pw, canonical_supports_by_size
 from paircodes.poly import Poly, QuotientRing, reciprocal
@@ -36,10 +37,6 @@ SCAN_CHUNK = 512
 
 class BudgetExceededError(RuntimeError):
     """A search ran past its deadline."""
-
-
-class CertificationError(RuntimeError):
-    """A result failed one of the checks that make it a certificate."""
 
 
 def hamming_weight(vec) -> int:
@@ -77,6 +74,8 @@ class ConstacyclicCode:
         self.T = T
         self.ring = QuotientRing(ctx, n, lam)
         self._gen_matrix = None
+        self._check_matrix = None
+        self._root_powers = None
         self._enum_cache = None
 
     def __repr__(self):
@@ -107,12 +106,18 @@ class ConstacyclicCode:
 
     def generator_matrix(self) -> np.ndarray:
         if self._gen_matrix is None:
-            gc = self.g.coeffs
-            mat = np.zeros((self.k, self.n), dtype=np.int32)
-            for i in range(self.k):
-                mat[i, i : i + len(gc)] = gc
-            self._gen_matrix = mat
+            self._gen_matrix = _band_matrix(self.g.coeffs, self.k, self.n)
         return self._gen_matrix
+
+    def check_matrix(self) -> np.ndarray:
+        """(n-k) x n check matrix over GF(q): row i is reciprocal(h) from column i.
+
+        A word c of degree below n is m g exactly when c h = m (x^n - lam)
+        has no terms of degree k..n-1, whatever lam; g = 1 gives no rows.
+        """
+        if self._check_matrix is None:
+            self._check_matrix = _band_matrix(reciprocal(self.h).coeffs, self.n - self.k, self.n)
+        return self._check_matrix
 
     def dual(self) -> "ConstacyclicCode":
         """Euclidean dual: lam^-1-constacyclic with the reflected check poly."""
@@ -126,14 +131,23 @@ class ConstacyclicCode:
         vec = np.asarray(vec, dtype=np.int32)
         return np.column_stack([vec, np.roll(vec, -1)])
 
-    def alpha_pows(self) -> np.ndarray:
-        """Index of root^j for j in [0, rn); used by the rank engine."""
-        if self.root is None:
-            raise ValueError("no root of the right order in the quadratic extension")
-        big = self.smap.big
-        la = big.log[self.root]
-        rn = self.r * self.n
-        return big.exp[(la * np.arange(rn, dtype=np.int64)) % (big.q - 1)].astype(np.int32)
+    def root_power_matrix(self) -> np.ndarray:
+        """|T| x n matrix over GF(q^2) with entry root^(t c) at row t in T, column c."""
+        if self._root_powers is None:
+            if self.root is None:
+                raise ValueError("no root of the right order in the quadratic extension")
+            big = self.smap.big
+            ex = np.outer(np.asarray(self.T.exponents, dtype=np.int64), np.arange(self.n))
+            self._root_powers = big.exp[(int(big.log[self.root]) * ex) % (big.q - 1)]
+        return self._root_powers
+
+
+def _band_matrix(coeffs, rows, n) -> np.ndarray:
+    """rows x n matrix whose row i holds coeffs from column i on."""
+    mat = np.zeros((rows, n), dtype=np.int32)
+    for i in range(rows):
+        mat[i, i : i + len(coeffs)] = coeffs
+    return mat
 
 
 def make_code(ctx, n, lam, g: Poly, root=None) -> ConstacyclicCode:
@@ -228,16 +242,15 @@ def _require_tables(ctx):
         raise ValueError(f"field of size {ctx.q} is too large for the table engines")
 
 
-def _admissible_flags(code, masks, deadline):
-    """Admissibility of each mask, in chunks of SCAN_CHUNK with a deadline check before each."""
-    big = code.smap.big
-    _require_tables(big)
-    texp = np.asarray(code.T.exponents)
-    args = (code.n, texp, code.alpha_pows(), big.add_table, big.neg_table, big.log, big.exp)
+def dependent_flags(cols, field, masks, deadline):
+    """Flag masks S with cols[:, S] rank deficient, SCAN_CHUNK per deadline check."""
+    _require_tables(field)
+    tables = (field.add_table, field.neg_table, field.log, field.exp)
     out = np.empty(len(masks), dtype=np.uint8)
     for lo in range(0, len(masks), SCAN_CHUNK):
         _check_deadline(deadline)
-        out[lo : lo + SCAN_CHUNK] = kernels.admissible_many(masks[lo : lo + SCAN_CHUNK], *args)
+        hi = lo + SCAN_CHUNK
+        out[lo:hi] = kernels.admissible_many(masks[lo:hi], cols, *tables)
     return out
 
 
@@ -268,7 +281,7 @@ def _scan_support_levels(code, kind, levels, level_masks, deadline):
         masks = level_masks(level)
         for m in masks:
             digest.update(f"{m:x};".encode())
-        flags = _admissible_flags(code, masks, deadline)
+        flags = dependent_flags(code.root_power_matrix(), code.smap.big, masks, deadline)
         hit = np.flatnonzero(flags)
         if hit.size:
             word = _witness_word(code, masks[int(hit[0])])
@@ -314,13 +327,12 @@ def _pick_method(code, method):
     return method
 
 
-def min_hamming(code, w_max, method="auto", workers=1, deadline=None) -> DistanceCertificate:
+def min_hamming(code, w_max, method="auto", deadline=None) -> DistanceCertificate:
     """Exact minimum Hamming weight, certified up to w_max.
 
     support_rank scans supports of size 1..w_max; a returned value is
     exact.  full_enumeration ignores w_max and always reports the exact
-    minimum over the whole code.  workers is accepted for compatibility
-    and ignored: every scan runs in the calling thread.
+    minimum over the whole code.
     """
     if not 1 <= w_max <= code.n:
         raise ValueError(f"w_max must be in 1..{code.n}, got {w_max}")
@@ -350,11 +362,8 @@ def min_hamming(code, w_max, method="auto", workers=1, deadline=None) -> Distanc
     )
 
 
-def min_pair(code, pw_max, method="auto", workers=1, deadline=None) -> DistanceCertificate:
-    """Exact minimum pair weight, certified up to pw_max.
-
-    workers is accepted for compatibility and ignored, as in min_hamming.
-    """
+def min_pair(code, pw_max, method="auto", deadline=None) -> DistanceCertificate:
+    """Exact minimum pair weight, certified up to pw_max."""
     if not 2 <= pw_max <= code.n:
         raise ValueError(f"pw_max must be in 2..{code.n}, got {pw_max}")
     method = _pick_method(code, method)
@@ -434,9 +443,7 @@ def rational_null_basis(code, positions) -> np.ndarray:
     big = code.smap.big
     ctx = code.ctx
     q = ctx.q
-    rn = code.r * code.n
-    pows = code.alpha_pows()
-    M = [[int(pows[(t * s) % rn]) for s in positions] for t in code.T.exponents]
+    M = code.root_power_matrix()[:, list(positions)].tolist()
     nb = null_space(big, M, len(positions))
     d = len(nb)
     if d == 0:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 
+from .errors import CertificationError
 from .field import SubfieldMap
 from .poly import Poly, eval_embedded
 
@@ -140,7 +141,8 @@ def defining_set_from_generator(
         if t % r == 1 % r and eval_embedded(g, smap, big.pow(alpha, t)) == 0
     ]
     ds = DefiningSet(rn=rn, r=r, exponents=exps, q=smap.small.q)
-    assert len(ds) == (0 if g.is_zero else g.degree), "root count mismatch"
+    if len(ds) != (0 if g.is_zero else g.degree):
+        raise CertificationError("root count mismatch")
     return ds
 
 

@@ -19,6 +19,7 @@ b_k = beta b_{k-2} - b_{k-4}.
 import numpy as np
 
 from paircodes.codes import make_code, rref
+from paircodes.errors import CertificationError
 from paircodes.field import nth_root_of_unity
 from paircodes.poly import Poly, gcd
 
@@ -34,7 +35,8 @@ def phi_map(ctx, vec, m):
     n1 = n // m
     z = nth_root_of_unity(ctx, m)
     zetas = [ctx.pow(z, i) for i in range(m)]
-    assert len(set(zetas)) == m, "roots of unity collided"
+    if len(set(zetas)) != m:
+        raise CertificationError("roots of unity collided")
     f = Poly(ctx, [int(v) for v in vec])
     parts = []
     for zeta in zetas:
@@ -59,14 +61,16 @@ def decompose(code):
     n2 = code.n // 2
     g1 = gcd(code.g, Poly.xn_minus_lambda(ctx, n2, 1))
     g2 = gcd(code.g, Poly.xn_minus_lambda(ctx, n2, ctx.neg(1)))
-    assert g1 * g2 == code.g, "halves do not multiply back to the generator"
+    if g1 * g2 != code.g:
+        raise CertificationError("halves do not multiply back to the generator")
     c1 = make_code(ctx, n2, 1, g1)
     c2 = make_code(ctx, n2, ctx.neg(1), g2)
-    assert c1.k + c2.k == code.k
-    for u in c1.generator_matrix():
-        assert code.contains(np.concatenate([u, u]))
-    for v in c2.generator_matrix():
-        assert code.contains(np.concatenate([v, ctx.vneg(v)]))
+    if c1.k + c2.k != code.k:
+        raise CertificationError(f"half dimensions {c1.k} + {c2.k} != {code.k}")
+    if not all(code.contains(np.concatenate([u, u])) for u in c1.generator_matrix()):
+        raise CertificationError("a cyclic half row (u | u) left the parent")
+    if not all(code.contains(np.concatenate([v, ctx.vneg(v)])) for v in c2.generator_matrix()):
+        raise CertificationError("a negacyclic half row (v | -v) left the parent")
     return c1, c2
 
 
@@ -82,7 +86,8 @@ def join(c1, c2):
     rows += [np.concatenate([v, ctx.vneg(v)]) for v in c2.generator_matrix()]
     lifted, _ = rref(ctx, rows)
     direct, _ = rref(ctx, parent.generator_matrix())
-    assert lifted == direct, "lifted halves span a different code"
+    if lifted != direct:
+        raise CertificationError("lifted halves span a different code")
     return parent
 
 
@@ -137,14 +142,13 @@ def negacyclic_dual_generator(smap, xi) -> Poly:
             coeffs.append(smap.to_subfield(big.div(num, denom)))
     b = Poly(small, coeffs)
     quartic = Poly(small, (1, 0, small.neg(beta), 0, 1))
-    assert b * quartic == Poly.xn_minus_lambda(small, q + 1, small.neg(1))
-    assert coeffs[0] == 1 and coeffs[1] == 0
-    if q > 4:
-        assert coeffs[2] == beta
-    if q > 5:
-        assert coeffs[3] == 0
-    for k in range(4, q - 2):
-        assert coeffs[k] == small.sub(small.mul(beta, coeffs[k - 2]), coeffs[k - 4])
+    if b * quartic != Poly.xn_minus_lambda(small, q + 1, small.neg(1)):
+        raise CertificationError("dual generator times the quartic is not x^(q+1) + 1")
+    want = [1, 0, beta, 0][: q - 2]
+    while len(want) < q - 2:
+        want.append(small.sub(small.mul(beta, want[-2]), want[-4]))
+    if coeffs != want:
+        raise CertificationError("dual generator breaks b_k = beta b_(k-2) - b_(k-4)")
     return b
 
 
@@ -164,7 +168,7 @@ def proof_dual_words(smap, xi):
 
 
 def dual_orthogonality_probe(c2, word) -> bool:
-    """Assert word lies in the dual of c2 and is orthogonal to its rows."""
+    """Check that word lies in the dual of c2 and is orthogonal to its rows."""
     word = np.asarray(word, dtype=np.int32)
     dual = c2.dual()
     if not dual.contains(word):
@@ -174,5 +178,6 @@ def dual_orthogonality_probe(c2, word) -> bool:
         acc = 0
         for a, b in zip(row, word):
             acc = ctx.add(acc, ctx.mul(int(a), int(b)))
-        assert acc == 0, "inner product with a generator row is nonzero"
+        if acc != 0:
+            raise CertificationError("inner product with a generator row is nonzero")
     return True

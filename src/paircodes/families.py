@@ -203,10 +203,12 @@ def subcode_check(q: int) -> bool:
     """dp8 is a one-dimension-smaller subcode of kai_dp7 at the same q."""
     kai = build_family("kai_dp7", q)
     sub = build_family("dp8", q)
-    assert kai.g.divides(sub.g), "generators are not nested"
-    assert sub.k == kai.k - 1
-    for row in sub.generator_matrix():
-        assert kai.contains(row), "a dp8 generator row left kai_dp7"
+    if not kai.g.divides(sub.g):
+        raise CertificationError("generators are not nested")
+    if sub.k != kai.k - 1:
+        raise CertificationError(f"dp8 dimension {sub.k} != kai_dp7 dimension {kai.k} - 1")
+    if not all(kai.contains(row) for row in sub.generator_matrix()):
+        raise CertificationError("a dp8 generator row left kai_dp7")
     return True
 
 

@@ -25,6 +25,8 @@ import math
 
 import numpy as np
 
+from paircodes.errors import CertificationError
+
 # exp/log tables are built eagerly; beyond this size we refuse to build
 TABLE_LIMIT = 1 << 20
 # full q x q addition tables only below this (27 MB of int32 at the cap)
@@ -128,7 +130,8 @@ class FieldCtx:
             if _raw_irreducible(cand, p):
                 modulus = tuple(cand)
                 break
-        assert modulus is not None
+        if modulus is None:
+            raise CertificationError(f"no monic irreducible of degree {m} over GF({p})")
         self.modulus = modulus
 
         fac = factorize(q - 1) if q > 2 else {}
@@ -146,7 +149,8 @@ class FieldCtx:
             exp[i] = v
             log[v] = i
             v = self._mul_raw(v, gen)
-        assert v == 1, "generator does not have full order"
+        if v != 1:
+            raise CertificationError("generator does not have full order")
         exp[q - 1:] = exp[: q - 1]
         self.exp = exp
         self.log = log
@@ -324,7 +328,8 @@ class SubfieldMap:
             if acc == 0:
                 root = x
                 break
-        assert root is not None, "small modulus has no root in the big field"
+        if root is None:
+            raise CertificationError("small modulus has no root in the big field")
         self.root = root
 
         rpow = [1]

@@ -79,29 +79,22 @@ def _support_positions(masks, n):
     return np.nonzero(bits)[1].reshape(len(masks), -1)
 
 
-def admissible_many(masks, n, texp, alpha_pows, add, neg, log, exp):
-    """Flag masks whose root-power matrix is rank deficient.
+def admissible_many(masks, cols, add, neg, log, exp):
+    """Flag each mask S whose columns cols[:, S] have rank below |S|.
 
-    For support positions s (set bits of the mask) and defining exponents
-    texp, the matrix M[r, c] = alpha^(texp[r] * pos[c]) has a nontrivial
-    null vector exactly when a codeword lives on a subset of the support.
-    alpha_pows[j] holds the field index of alpha^j and its length is the
-    root order, so exponents reduce mod len(alpha_pows).  Masks are
-    Python ints of any length; they are ranked in one batch per size.
+    cols is a (rows, n) matrix of field indices and S the set bits of a
+    mask, a Python int of any length.  Masks are ranked in one batch per
+    size; fewer rows than |S| simply caps the rank.
     """
     masks = [int(m) for m in masks]
-    texp = np.asarray(texp)
-    rn = alpha_pows.shape[0]
+    cols = np.asarray(cols, dtype=np.int32)
     out = np.zeros(len(masks), dtype=np.uint8)
     by_size = {}
     for i, m in enumerate(masks):
         by_size.setdefault(m.bit_count(), []).append(i)
     for s, idx in by_size.items():
-        if texp.shape[0] < s:
-            out[idx] = 1  # fewer equations than unknowns
-            continue
-        pos = _support_positions([masks[i] for i in idx], n)
-        mats = alpha_pows[(texp[None, :, None] * pos[:, None, :]) % rn]
+        pos = _support_positions([masks[i] for i in idx], cols.shape[1])
+        mats = cols[:, pos].transpose(1, 0, 2)
         out[idx] = gf_rank_many(mats, add, neg, log, exp) < s
     return out
 

@@ -5,6 +5,9 @@ any timed certification, so wall-clock assertions measure steady state.
 """
 
 import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,21 @@ def src_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return env
+
+
+@pytest.fixture
+def run_optimized(src_env):
+    """Run a script under python -O (asserts stripped); return its stdout lines."""
+
+    def run(script):
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", textwrap.dedent(script)],
+            capture_output=True, text=True, timeout=120, env=src_env,
+        )
+        assert out.returncode == 0, out.stderr
+        return out.stdout.splitlines()
+
+    return run
 
 
 @pytest.fixture(scope="session", autouse=True)

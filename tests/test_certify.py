@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from paircodes import kernels
 from paircodes.certify import (
     STATUS_BUDGET,
     STATUS_CONFIRMED,
@@ -17,9 +18,9 @@ from paircodes.certify import (
     exclude_pattern,
     sweep_exclusions,
 )
-from paircodes.codes import BudgetExceededError, hamming_weight, make_code
+from paircodes.codes import BudgetExceededError, hamming_weight, make_code, rational_null_basis
 from paircodes.cosets import closed_defining_set
-from paircodes.families import InadmissibleFamilyError, build_family
+from paircodes.families import InadmissibleFamilyError, build_family, get_spec
 from paircodes.field import make_field
 from paircodes.patterns import SupportPattern, canonical_rotation, pw_of_mask
 from paircodes.poly import Poly
@@ -132,6 +133,41 @@ def gf3_words(gf3_code):
     return all_codewords(gf3_code)
 
 
+@pytest.fixture(scope="module")
+def gf5_negacyclic():
+    """Negacyclic [6,2] over GF(5) with generator x^4 - x^2 + 1."""
+    ctx = make_field(5, 1)
+    return make_code(ctx, 6, ctx.neg(1), Poly(ctx, (1, 0, 4, 0, 1)))
+
+
+def check_against_codeword_scan(code, words, pw):
+    # oracle predicate: some codeword whose support is exactly the
+    # pattern (zero off it, nonzero everywhere on it)
+    n, q = code.n, code.ctx.q
+    for pat in enumerate_shapes(n, pw).shapes:
+        pos = pat.positions
+        rep = exclude_pattern(code, pat)
+        brute_hit = any(
+            all(w[p] != 0 for p in pos)
+            and all(w[i] == 0 for i in range(n) if i not in pos)
+            for w in words[1:]
+        )
+        assert rep.admissible == brute_hit
+        inside = sum(
+            1
+            for w in words
+            if all(w[i] == 0 for i in range(n) if i not in pos)
+        )
+        assert inside == q**rep.detail
+        if rep.admissible:
+            w = rep.fully_nonzero_witness
+            assert code.contains(w)
+            assert all(w[p] != 0 for p in pos)
+            assert all(w[i] == 0 for i in range(n) if i not in pos)
+        else:
+            assert rep.fully_nonzero_witness is None
+
+
 class TestExcludePattern:
     def test_rejects_length_mismatch(self, gf3_code):
         with pytest.raises(ValueError):
@@ -139,31 +175,12 @@ class TestExcludePattern:
 
     @pytest.mark.parametrize("pw", [2, 3, 4, 5, 6, 7, 8])
     def test_matches_codeword_scan(self, gf3_code, gf3_words, pw):
-        # oracle predicate: some codeword whose support is exactly the
-        # pattern (zero off it, nonzero everywhere on it)
-        q = gf3_code.ctx.q
-        for pat in enumerate_shapes(8, pw).shapes:
-            pos = pat.positions
-            rep = exclude_pattern(gf3_code, pat)
-            brute_hit = any(
-                all(w[p] != 0 for p in pos)
-                and all(w[i] == 0 for i in range(8) if i not in pos)
-                for w in gf3_words[1:]
-            )
-            assert rep.admissible == brute_hit
-            inside = sum(
-                1
-                for w in gf3_words
-                if all(w[i] == 0 for i in range(8) if i not in pos)
-            )
-            assert inside == q**rep.detail
-            if rep.admissible:
-                w = rep.fully_nonzero_witness
-                assert gf3_code.contains(w)
-                assert all(w[p] != 0 for p in pos)
-                assert all(w[i] == 0 for i in range(8) if i not in pos)
-            else:
-                assert rep.fully_nonzero_witness is None
+        check_against_codeword_scan(gf3_code, gf3_words, pw)
+
+    @pytest.mark.parametrize("pw", [2, 3, 4, 5, 6])
+    def test_negacyclic_matches_codeword_scan(self, gf5_negacyclic, pw):
+        # lam = -1: the check matrix must not assume x^n = 1
+        check_against_codeword_scan(gf5_negacyclic, all_codewords(gf5_negacyclic), pw)
 
     def test_trivial_null_space(self, gf3_code):
         rep = exclude_pattern(gf3_code, SupportPattern.from_positions(8, [3]))
@@ -177,11 +194,16 @@ class TestExcludePattern:
         assert rep.detail == 1
         assert hamming_weight(rep.fully_nonzero_witness) == 8
 
-    def test_wide_null_space_refused(self):
+    def test_wide_null_space_decided(self):
+        # the whole space: every pattern is admissible, nullity |S|
         ctx = make_field(3, 1)
         code = make_code(ctx, 8, 1, Poly.one(ctx))
-        with pytest.raises(NotImplementedError):
-            exclude_pattern(code, SupportPattern.from_positions(8, [0, 1, 2, 3]))
+        rep = exclude_pattern(code, SupportPattern.from_positions(8, [0, 1, 2, 3]))
+        assert rep.admissible is True
+        assert rep.detail == 4
+        w = rep.fully_nonzero_witness
+        assert code.contains(w)
+        assert [i for i in range(8) if w[i]] == [0, 1, 2, 3]
 
     def test_three_block_window_sweep_gf7(self):
         # dp8 at q=7: two leading positions, then two more separated by
@@ -209,14 +231,23 @@ class TestSweep:
         hits = [r for r in reports if r.admissible]
         assert len(hits) == 1
         assert hits[0].pattern.mask == (1 << 8) - 1
+        assert code.contains(hits[0].fully_nonzero_witness)
+        assert hamming_weight(hits[0].fully_nonzero_witness) == 8
 
-    def test_worker_count_does_not_change_reports(self):
-        code = build_family("dp9", 5)
-        one = sweep_exclusions(code, 8, workers=1)
-        three = sweep_exclusions(code, 8, workers=3)
-        assert [r.pattern.mask for r in one] == [r.pattern.mask for r in three]
-        assert [r.admissible for r in one] == [r.admissible for r in three]
-        assert [r.detail for r in one] == [r.detail for r in three]
+    @pytest.mark.parametrize(
+        "family,q", [("dp7", 5), ("dp8", 7), ("dp9", 5), ("kai_dp7", 7), ("dp9", 3)]
+    )
+    def test_check_matrix_nullity_matches_root_power_basis(self, family, q):
+        # the sweep's nullity comes from H over GF(q); the engines' from
+        # root powers over GF(q^2) with Galois descent: they must agree
+        code = build_family(family, q)
+        ctx, H = code.ctx, code.check_matrix()
+        tables = (ctx.add_table, ctx.neg_table, ctx.log, ctx.exp)
+        pw = get_spec(family).claimed_pair_distance - 1
+        for rep in sweep_exclusions(code, pw):
+            pos = list(rep.pattern.positions)
+            nullity = len(pos) - kernels.gf_rank(H[:, pos], *tables)
+            assert rep.detail == nullity == len(rational_null_basis(code, pos))
 
     def test_deadline_enforced(self):
         code = build_family("dp9", 5)
@@ -277,10 +308,11 @@ class TestCertifyFamily:
 
     def test_budget_overshoot_is_bounded(self):
         # the level scans check the deadline every SCAN_CHUNK supports,
-        # so the run stops within one chunk or one level enumeration
+        # so the run stops within one chunk or one level enumeration;
+        # dp8 q=19 needs about six times the budget to finish
         budget, overshoot = 0.05, 0.2
         t0 = time.perf_counter()
-        cert = certify_family("dp8", 11, budget_seconds=budget)
+        cert = certify_family("dp8", 19, budget_seconds=budget)
         elapsed = time.perf_counter() - t0
         assert cert.status == STATUS_BUDGET
         assert elapsed < budget + overshoot

@@ -27,6 +27,7 @@ from paircodes.codes import (
     null_space,
     pair_weight,
     rational_null_basis,
+    rref,
     singleton_check,
 )
 from paircodes.cosets import bch_bound, closed_defining_set, generator_from_defining_set
@@ -260,15 +261,6 @@ class TestEngines:
         with pytest.raises(ValueError):
             min_hamming(gf3_n8_code(), 4, method="smart")
 
-    def test_worker_independence(self):
-        code = dp7_like_q5()
-        one = min_hamming(code, 4, method="support_rank", workers=1)
-        three = min_hamming(code, 4, method="support_rank", workers=3)
-        assert one.to_json_dict() == three.to_json_dict()
-        p_one = min_pair(code, 7, method="support_rank", workers=1)
-        p_three = min_pair(code, 7, method="support_rank", workers=3)
-        assert p_one.to_json_dict() == p_three.to_json_dict()
-
     def test_deadline(self):
         code = dp7_like_q5()
         with pytest.raises(BudgetExceededError):
@@ -339,6 +331,31 @@ class TestNullBasis:
         assert basis.shape == (0, 2)
 
 
+class TestCheckMatrix:
+    """H over GF(q) has n - k independent rows orthogonal to every codeword."""
+
+    @pytest.mark.parametrize(
+        "make", [gf3_n8_code, gf5_negacyclic, dp7_like_q5], ids=["cyclic", "negacyclic", "dp7_like"]
+    )
+    def test_kernel_is_the_code(self, make):
+        code = make()
+        ctx, H, G = code.ctx, code.check_matrix(), code.generator_matrix()
+        assert H.shape == (code.n - code.k, code.n)
+        for h in H:
+            for g in G:
+                acc = 0
+                for a, b in zip(h, g):
+                    acc = ctx.add(acc, ctx.mul(int(a), int(b)))
+                assert acc == 0
+        rows, _ = rref(ctx, H)
+        assert len(rows) == code.n - code.k
+
+    def test_no_rows_for_the_whole_space(self):
+        ctx = make_field(3, 1)
+        code = make_code(ctx, 8, 1, Poly.one(ctx))
+        assert code.check_matrix().shape == (0, 8)
+
+
 class TestBoundsChecks:
     def test_singleton(self):
         code = gf3_n8_code()
@@ -379,12 +396,11 @@ class TestLengthPast63Bits:
         assert code.contains(np.array(cert.witness))
         assert pair_weight(cert.witness) == 6
         # no support of smaller pair weight carries a codeword
-        big, pows = code.smap.big, code.alpha_pows()
+        big, cols = code.smap.big, code.root_power_matrix()
         for pw in range(2, 6):
             for mask in canonical_supports_by_pw(code.n, pw):
                 pos = [i for i in range(code.n) if mask >> i & 1]
-                mat = [[int(pows[(t * c) % len(pows)]) for c in pos] for t in code.T.exponents]
-                assert not null_space(big, mat, len(pos))
+                assert not null_space(big, cols[:, pos].tolist(), len(pos))
 
 
 class TestCertificationErrors:

@@ -222,3 +222,22 @@ class TestBounds:
         ds = DefiningSet(rn=12, r=2, exponents=[1, 5, 7, 11])
         with pytest.raises(ValueError):
             hartmann_tzeng_bound(ds)
+
+
+class TestCertificationErrors:
+    def test_root_count_check_survives_optimize(self, run_optimized):
+        # roots found must match the generator's degree, -O or not
+        script = """
+            from paircodes import cosets
+            from paircodes.errors import CertificationError
+            from paircodes.families import build_family
+
+            code = build_family("dp9", 5)
+            cosets.eval_embedded = lambda *args: 1
+            print("debug", __debug__)
+            try:
+                cosets.defining_set_from_generator(code.g, code.root, code.n, code.r, code.smap)
+            except CertificationError as e:
+                print("raised", e)
+        """
+        assert run_optimized(script) == ["debug False", "raised root count mismatch"]

@@ -207,3 +207,26 @@ class TestProofWords:
         bad = np.array([1, 0, 0, 0, 0, 0], dtype=np.int32)
         with pytest.raises(ValueError):
             dual_orthogonality_probe(c2, bad)
+
+
+class TestCertificationErrors:
+    def test_split_check_survives_optimize(self, run_optimized):
+        # halves whose generators do not multiply back must raise, -O or not
+        script = """
+            from paircodes import decompose
+            from paircodes.errors import CertificationError
+            from paircodes.families import build_family
+            from paircodes.poly import Poly
+
+            code = build_family("dp7", 5)
+            decompose.gcd = lambda a, b: Poly.one(a.ctx)
+            print("debug", __debug__)
+            try:
+                decompose.decompose(code)
+            except CertificationError as e:
+                print("raised", e)
+        """
+        assert run_optimized(script) == [
+            "debug False",
+            "raised halves do not multiply back to the generator",
+        ]

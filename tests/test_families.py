@@ -179,6 +179,23 @@ class TestSubcode:
     def test_dp8_inside_kai(self, q):
         assert subcode_check(q)
 
+    def test_nesting_check_survives_optimize(self, run_optimized):
+        # swapped members are not nested; the check must raise under -O
+        script = """
+            from paircodes import families
+            from paircodes.errors import CertificationError
+
+            real = families.build_family
+            swap = {"kai_dp7": "dp8", "dp8": "kai_dp7"}
+            families.build_family = lambda family, q: real(swap[family], q)
+            print("debug", __debug__)
+            try:
+                families.subcode_check(7)
+            except CertificationError as e:
+                print("raised", e)
+        """
+        assert run_optimized(script) == ["debug False", "raised generators are not nested"]
+
     def test_wrong_congruence(self):
         with pytest.raises(InadmissibleFamilyError):
             subcode_check(5)

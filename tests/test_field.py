@@ -313,3 +313,22 @@ class TestHelpers:
             f.add(9, 0)
         with pytest.raises(ValueError):
             f.mul(-1, 2)
+
+
+class TestCertificationErrors:
+    def test_missing_modulus_survives_optimize(self, run_optimized):
+        script = """
+            from paircodes import field
+            from paircodes.errors import CertificationError
+
+            field._raw_irreducible = lambda cand, p: False
+            print("debug", __debug__)
+            try:
+                field.FieldCtx(5, 2)
+            except CertificationError as e:
+                print("raised", e)
+        """
+        assert run_optimized(script) == [
+            "debug False",
+            "raised no monic irreducible of degree 2 over GF(5)",
+        ]

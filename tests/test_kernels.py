@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from paircodes import kernels
-from paircodes.codes import null_space
+from paircodes.codes import make_code, null_space
 from paircodes.field import make_field
+from paircodes.poly import Poly
 
 
 def rank_oracle(ctx, rows):
@@ -178,7 +179,7 @@ class TestBatchedRank:
                 mat[rng.random(mat.shape) < 0.6] = 0
         return mats
 
-    @pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (7, 2)])
+    @pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (7, 2), (3, 1), (5, 1), (7, 1), (13, 1)])
     def test_matches_oracle_random_batches(self, p, m):
         ctx = make_field(p, m)
         tables = field_tables(ctx)
@@ -216,37 +217,49 @@ class TestBatchedRank:
 
 
 class TestAdmissibleMany:
-    """admissible_many against a per-mask null space at a length past 63 bits."""
+    """admissible_many against a per-mask null space at a length past 63 bits.
+
+    Both kinds of column matrix the certificate ranks are covered: root
+    powers over GF(49) and the check matrix of a GF(3) code.
+    """
 
     N = 70
 
-    def gf49_setting(self):
+    def root_power_setting(self):
         big = make_field(7, 2)
-        # a primitive element of GF(49): order 48, so positions wrap mod 48
-        pows = big.exp[: big.q - 1].copy()
+        # powers of a primitive element of GF(49), exponents wrapping mod 48
         texp = np.array([1, 2, 3, 7, 14], dtype=np.int64)
-        return big, pows, texp
+        return big, big.exp[np.outer(texp, np.arange(self.N)) % (big.q - 1)]
 
-    def oracle(self, big, pows, texp, mask):
-        pos = [i for i in range(self.N) if mask >> i & 1]
-        mat = [[int(pows[(int(t) * c) % len(pows)]) for c in pos] for t in texp]
-        return int(len(null_space(big, mat, len(pos))) > 0)
+    def check_setting(self):
+        ctx = make_field(3, 1)
+        # (x^7 - 1)(x + 1) divides x^70 - 1: eight check rows
+        g = Poly(ctx, (2, 0, 0, 0, 0, 0, 0, 1)) * Poly(ctx, (1, 1))
+        return ctx, make_code(ctx, self.N, 1, g).check_matrix()
 
     def test_matches_null_space_oracle(self):
-        big, pows, texp = self.gf49_setting()
         rng = np.random.default_rng(43)
         masks = []
         for _ in range(300):
-            size = int(rng.integers(1, 8))
+            size = int(rng.integers(1, 10))
             masks.append(sum(1 << int(i) for i in rng.choice(self.N, size=size, replace=False)))
         masks.append(1 << (self.N - 1) | 1 << 64 | 1 << 63 | 1)
-        got = kernels.admissible_many(masks, self.N, texp, pows, *field_tables(big))
-        assert got.dtype == np.uint8
-        want = [self.oracle(big, pows, texp, m) for m in masks]
-        assert got.tolist() == want
-        assert 0 < sum(want) < len(want)
+        for field, cols in (self.root_power_setting(), self.check_setting()):
+            got = kernels.admissible_many(masks, cols, *field_tables(field))
+            assert got.dtype == np.uint8
+            want = []
+            for m in masks:
+                pos = [i for i in range(self.N) if m >> i & 1]
+                want.append(int(len(null_space(field, cols[:, pos].tolist(), len(pos))) > 0))
+            assert got.tolist() == want
+            assert 0 < sum(want) < len(want)
 
     def test_empty(self):
-        big, pows, texp = self.gf49_setting()
-        got = kernels.admissible_many([], self.N, texp, pows, *field_tables(big))
-        assert got.shape == (0,)
+        for field, cols in (self.root_power_setting(), self.check_setting()):
+            assert kernels.admissible_many([], cols, *field_tables(field)).shape == (0,)
+
+    def test_no_rows_flags_every_support(self):
+        ctx = make_field(3, 1)
+        cols = np.zeros((0, self.N), dtype=np.int32)
+        got = kernels.admissible_many([1, 0b101, 1 << 69], cols, *field_tables(ctx))
+        assert got.tolist() == [1, 1, 1]
